@@ -1,29 +1,4 @@
-(* Split a raw byte stream of record-marked fragments into records. The
-   RPC client always writes whole records before reading, so the buffered
-   request passed to the loopback peer contains complete records. *)
-let records_of_stream stream =
-  let rec loop pos acc current =
-    if pos >= String.length stream then List.rev acc
-    else begin
-      let last, len = Oncrpc.Record.decode_header (String.sub stream pos 4) in
-      let fragment = String.sub stream (pos + 4) len in
-      let current = fragment :: current in
-      if last then
-        loop (pos + 4 + len) (String.concat "" (List.rev current) :: acc) []
-      else loop (pos + 4 + len) acc current
-    end
-  in
-  loop 0 [] []
-
-let transport_of_dispatch dispatch =
-  Oncrpc.Transport.loopback ~peer:(fun request ->
-      records_of_stream request
-      |> List.filter_map (fun record ->
-             match dispatch record with
-             | "" -> None (* one-way call: no reply record *)
-             | reply -> Some (Oncrpc.Record.to_wire reply))
-      |> String.concat "")
-
+let transport_of_dispatch = Oncrpc.Record.loopback
 let transport server = transport_of_dispatch (Server.dispatch server)
 
 let transport_for server ~tenant =

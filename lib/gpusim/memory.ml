@@ -36,28 +36,34 @@ module BA1 = Bigarray.Array1
    and large arenas add no marking pressure. *)
 type arena = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) BA1.t
 
-let arena_create len : arena =
-  let a = BA1.create Bigarray.char Bigarray.c_layout len in
-  BA1.fill a '\000';  (* Bigarray.Array1.create does not zero-fill *)
-  a
-
 let arena_len (a : arena) = BA1.dim a
 
-(* Manual byte loops: Bytes/String <-> Bigarray have no stdlib blit.
-   Callers bound-check first, so unsafe accessors are fine. *)
-let blit_bytes_to_arena src srcoff (dst : arena) dstoff len =
-  for i = 0 to len - 1 do
-    BA1.unsafe_set dst (dstoff + i) (Bytes.unsafe_get src (srcoff + i))
-  done
+external arena_get64 : arena -> int -> int64 = "%caml_bigstring_get64u"
+external arena_set64 : arena -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+(* Bytes/String <-> Bigarray have no stdlib blit: move a word at a time,
+   then the tail bytewise. Callers bound-check first, so unsafe accessors
+   are fine. *)
 let blit_string_to_arena src srcoff (dst : arena) dstoff len =
-  for i = 0 to len - 1 do
+  let words = len lsr 3 in
+  for i = 0 to words - 1 do
+    arena_set64 dst (dstoff + (i lsl 3)) (string_get64 src (srcoff + (i lsl 3)))
+  done;
+  for i = words lsl 3 to len - 1 do
     BA1.unsafe_set dst (dstoff + i) (String.unsafe_get src (srcoff + i))
   done
 
+let blit_bytes_to_arena src = blit_string_to_arena (Bytes.unsafe_to_string src)
+
 let arena_sub_bytes (src : arena) off len =
   let b = Bytes.create len in
-  for i = 0 to len - 1 do
+  let words = len lsr 3 in
+  for i = 0 to words - 1 do
+    bytes_set64 b (i lsl 3) (arena_get64 src (off + (i lsl 3)))
+  done;
+  for i = words lsl 3 to len - 1 do
     Bytes.unsafe_set b i (BA1.unsafe_get src (off + i))
   done;
   b
@@ -79,7 +85,7 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Memory.create: capacity";
   {
     capacity;
-    backing = arena_create 4096;
+    backing = BA1.init Bigarray.char Bigarray.c_layout 4096 (fun _ -> '\000');
     allocations = Imap.empty;
     free_list = [ (base_address, capacity) ];
     used = 0;
@@ -191,9 +197,12 @@ let ensure_backing t upto =
     while !capacity < upto do
       capacity := !capacity * 2
     done;
-    let grown = arena_create !capacity in
+    (* Bigarray.Array1.create does not zero-fill: copy the old arena in
+       and zero only the grown tail. *)
+    let grown = BA1.create Bigarray.char Bigarray.c_layout !capacity in
     let old_len = arena_len t.backing in
     BA1.blit t.backing (BA1.sub grown 0 old_len);
+    BA1.fill (BA1.sub grown old_len (!capacity - old_len)) '\000';
     t.backing <- grown
   end
 
@@ -252,28 +261,23 @@ let set_u8 t addr v =
   BA1.set t.backing addr (Char.chr (v land 0xff));
   mark t addr 1
 
-(* Multi-byte accessors assemble little-endian by hand: Bigarray has no
-   Bytes.get_int32_le equivalent for a char array. *)
+(* Multi-byte accessors: the arena is little-endian, like the device; the
+   word primitives read and write in host order. *)
+external get32 : arena -> int -> int32 = "%caml_bigstring_get32"
+external set32 : arena -> int -> int32 -> unit = "%caml_bigstring_set32"
+external get64 : arena -> int -> int64 = "%caml_bigstring_get64"
+external set64 : arena -> int -> int64 -> unit = "%caml_bigstring_set64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 let get_i32 t addr =
   ensure_backing t (addr + 4);
-  let b = t.backing in
-  let byte i = Int32.of_int (Char.code (BA1.unsafe_get b (addr + i))) in
-  Int32.logor (byte 0)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 8)
-       (Int32.logor (Int32.shift_left (byte 2) 16)
-          (Int32.shift_left (byte 3) 24)))
+  let v = get32 t.backing addr in
+  if Sys.big_endian then swap32 v else v
 
 let set_i32 t addr v =
   ensure_backing t (addr + 4);
-  let b = t.backing in
-  let put i x =
-    BA1.unsafe_set b (addr + i) (Char.unsafe_chr (Int32.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int32.shift_right_logical v 8);
-  put 2 (Int32.shift_right_logical v 16);
-  put 3 (Int32.shift_right_logical v 24);
+  set32 t.backing addr (if Sys.big_endian then swap32 v else v);
   mark t addr 4
 
 let get_f32 t addr = Int32.float_of_bits (get_i32 t addr)
@@ -281,22 +285,12 @@ let set_f32 t addr v = set_i32 t addr (Int32.bits_of_float v)
 
 let get_i64 t addr =
   ensure_backing t (addr + 8);
-  let b = t.backing in
-  let byte i = Int64.of_int (Char.code (BA1.unsafe_get b (addr + i))) in
-  let acc = ref 0L in
-  for i = 7 downto 0 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
-  done;
-  !acc
+  let v = get64 t.backing addr in
+  if Sys.big_endian then swap64 v else v
 
 let set_i64 t addr v =
   ensure_backing t (addr + 8);
-  let b = t.backing in
-  for i = 0 to 7 do
-    BA1.unsafe_set b (addr + i)
-      (Char.unsafe_chr
-         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done;
+  set64 t.backing addr (if Sys.big_endian then swap64 v else v);
   mark t addr 8
 
 let get_f64 t addr = Int64.float_of_bits (get_i64 t addr)

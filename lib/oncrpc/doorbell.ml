@@ -115,9 +115,7 @@ let wrap ?(policy = default_policy) ?schedule inner =
       transport = inner }
   in
   let sendv iov = stage t iov in
-  let send buf off len =
-    stage t [ Xdr.Iovec.slice (Bytes.sub_string buf off len) ]
-  in
+  let send = Transport.send_of_sendv sendv in
   let recv buf off len =
     flush_as t Recv;
     t.inner.Transport.recv buf off len

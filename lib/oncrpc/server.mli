@@ -3,7 +3,7 @@
     A server hosts any number of (program, version) services; each service
     maps procedure numbers to handlers. Dispatch is a pure
     request-record → reply-record function, so the same server instance can
-    be driven by a real TCP accept loop, an in-process {!Transport.loopback}
+    be driven by a real TCP accept loop, an in-process {!Record.loopback}
     transport, or the simulated-network channel used by the benchmarks.
 
     Error mapping follows RFC 5531: unknown program → [PROG_UNAVAIL],

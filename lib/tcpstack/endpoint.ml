@@ -61,7 +61,7 @@ type t = {
   mutable rcv_nxt : Seqnum.t;
   mutable tx_burst : int;  (* max payload per emitted segment; mss, or up
                               to 64 KiB when the netdev negotiated TSO *)
-  send_buf : Txring.t;  (* app data not yet segmented *)
+  send_buf : Xdr.Slice_queue.t;  (* app data not yet segmented *)
   recv_buf : Buffer.t;  (* in-order data not yet read by the app *)
   mutable ooo : (Seqnum.t * Xdr.Iovec.t * int) list;
       (* out-of-order segments, sorted by seq *)
@@ -98,7 +98,7 @@ let create ~engine ~name ~mss ~iss ~local_port ~remote_port
     snd_wnd = 0;
     rcv_nxt = 0;
     tx_burst = mss;
-    send_buf = Txring.create ();
+    send_buf = Xdr.Slice_queue.create ();
     recv_buf = Buffer.create 4096;
     ooo = [];
     ooo_count = 0;
@@ -219,10 +219,10 @@ let rec pump t =
   match t.state with
   | Established | Close_wait | Fin_wait_1 | Closing | Last_ack ->
       let window_left = (min t.snd_wnd t.cwnd) - unacked t in
-      let buffered = Txring.length t.send_buf in
+      let buffered = Xdr.Slice_queue.length t.send_buf in
       if buffered > 0 && window_left > 0 then begin
         let len = min (min t.tx_burst buffered) window_left in
-        let payload = Txring.take t.send_buf len in
+        let payload = Xdr.Slice_queue.take t.send_buf len in
         send_pending t
           { seq = t.snd_nxt; payload; plen = len; syn = false; fin = false };
         pump t
@@ -251,15 +251,15 @@ let listen t =
   t.state <- Listen
 
 let send t data =
-  Txring.push_bytes t.send_buf data;
+  Xdr.Slice_queue.push_bytes t.send_buf data;
   pump t
 
 let sendv t iov =
-  Txring.push_iovec t.send_buf iov;
+  Xdr.Slice_queue.push t.send_buf iov;
   pump t
 
 let send_string t s =
-  Txring.push_iovec t.send_buf (Xdr.Iovec.of_string s);
+  Xdr.Slice_queue.push t.send_buf (Xdr.Iovec.of_string s);
   pump t
 
 let close t =

@@ -21,4 +21,5 @@ let () =
       ("par", Test_par.suite);
       ("rpcacc", Test_rpcacc.suite);
       ("fleet", Test_fleet.suite);
+      ("datapath", Test_datapath.suite);
     ]

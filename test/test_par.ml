@@ -213,7 +213,7 @@ let test_xid_alloc_parallel () =
      from one client never collide *)
   let client =
     Oncrpc.Client.create
-      ~transport:(Oncrpc.Transport.loopback ~peer:(fun s -> s))
+      ~transport:(Oncrpc.Record.loopback (fun s -> s))
       ~prog:1 ~vers:1 ()
   in
   let domains = 4 and per = 2_000 in

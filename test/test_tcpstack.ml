@@ -431,17 +431,17 @@ let prop_checksum_iovec_equivalence =
 
 let test_txring_take () =
   let module I = Xdr.Iovec in
-  let r = Tcpstack.Txring.create () in
-  Tcpstack.Txring.push_iovec r (I.of_string "hello ");
-  Tcpstack.Txring.push_bytes r (Bytes.of_string "world");
-  check Alcotest.int "length" 11 (Tcpstack.Txring.length r);
-  let first = Tcpstack.Txring.take r 4 in
+  let r = Xdr.Slice_queue.create () in
+  Xdr.Slice_queue.push r (I.of_string "hello ");
+  Xdr.Slice_queue.push_bytes r (Bytes.of_string "world");
+  check Alcotest.int "length" 11 (Xdr.Slice_queue.length r);
+  let first = Xdr.Slice_queue.take r 4 in
   check Alcotest.string "first take" "hell" (I.concat first);
   (* a take may span the slice boundary *)
-  let second = Tcpstack.Txring.take r 4 in
+  let second = Xdr.Slice_queue.take r 4 in
   check Alcotest.string "spanning take" "o wo" (I.concat second);
-  check Alcotest.string "rest" "rld" (I.concat (Tcpstack.Txring.take r 3));
-  check Alcotest.int "empty" 0 (Tcpstack.Txring.length r)
+  check Alcotest.string "rest" "rld" (I.concat (Xdr.Slice_queue.take r 3));
+  check Alcotest.int "empty" 0 (Xdr.Slice_queue.length r)
 
 let test_frame_sub_flags () =
   let payload = "0123456789" in
