@@ -63,7 +63,9 @@ val set_obs : t -> Obs.Recorder.t -> unit
     network time. One branch per event while the recorder is disabled. *)
 
 val reconnect : t -> Oncrpc.Transport.t
-(** Re-establish the connection after a crash. Raises
+(** Re-establish the connection after a crash, or after a request the
+    server rejected ({!Oncrpc.Record.Oversized} from a write,
+    {!Oncrpc.Record.Truncated} from a read), which drops it. Raises
     {!Oncrpc.Transport.Closed} while the server is still restarting (the
     caller is expected to back off in virtual time and retry — exactly
     what {!Oncrpc.Client}'s retry loop does with this function as its

@@ -64,7 +64,9 @@ val create :
 
 val transport : t -> Oncrpc.Transport.t
 (** Client-side transport ([sendv] performs the single sk_buff staging
-    copy; see implementation notes). *)
+    copy; see implementation notes). A request header the server rejects
+    reaches the client's read as {!Oncrpc.Record.Oversized} and drops the
+    connection: later writes and reads raise {!Oncrpc.Transport.Closed}. *)
 
 val set_obs : t -> Obs.Recorder.t -> unit
 (** Attach an observability recorder to the whole network path: the
